@@ -83,16 +83,35 @@ void BM_BuildPllSingleLevel_Social(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPllSingleLevel_Social)->Unit(benchmark::kMillisecond);
 
+// Build-phase counters of the last iteration: merge candidates per kept
+// entry (the candidate-superset inflation; 0 for the sequential loop) and
+// the wall seconds of the BFS and merge phases.
+void ReportBuildPhases(benchmark::State& state, const WcIndexBuildStats& s) {
+  state.counters["candidates_per_entry"] =
+      s.entries_added == 0 ? 0.0
+                           : static_cast<double>(s.candidates) /
+                                 static_cast<double>(s.entries_added);
+  state.counters["bfs_s"] = s.bfs_seconds;
+  state.counters["merge_s"] = s.merge_seconds;
+}
+
 // Parallel construction pipeline: same build, 1/2/4/8 worker threads.
 // threads=1 goes through the exact sequential loop; every other setting
 // produces the bit-identical index (tested in test_parallel_build.cc).
-void BM_BuildWcIndexPlusThreads_LargeRoad(benchmark::State& state) {
+void BuildWithThreads(benchmark::State& state, const Dataset& dataset) {
   WcIndexOptions options = WcIndexOptions::Plus();
   options.num_threads = static_cast<size_t>(state.range(0));
+  WcIndexBuildStats stats;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        WcIndex::Build(LargeRoadDataset().graph, options));
+    WcIndex index = WcIndex::Build(dataset.graph, options);
+    stats = index.build_stats();
+    benchmark::DoNotOptimize(index);
   }
+  ReportBuildPhases(state, stats);
+}
+
+void BM_BuildWcIndexPlusThreads_LargeRoad(benchmark::State& state) {
+  BuildWithThreads(state, LargeRoadDataset());
 }
 BENCHMARK(BM_BuildWcIndexPlusThreads_LargeRoad)
     ->Arg(1)
@@ -103,12 +122,7 @@ BENCHMARK(BM_BuildWcIndexPlusThreads_LargeRoad)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BuildWcIndexPlusThreads_Social(benchmark::State& state) {
-  WcIndexOptions options = WcIndexOptions::Plus();
-  options.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        WcIndex::Build(LargeSocialDataset().graph, options));
-  }
+  BuildWithThreads(state, LargeSocialDataset());
 }
 BENCHMARK(BM_BuildWcIndexPlusThreads_Social)
     ->Arg(1)

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <thread>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,12 +22,6 @@ namespace wcsd {
 namespace {
 
 constexpr Quality kNegInfQuality = -std::numeric_limits<Quality>::infinity();
-
-size_t ResolveThreads(size_t num_threads) {
-  if (num_threads != 0) return num_threads;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 }  // namespace
 
@@ -58,20 +52,24 @@ VertexOrder MakeOrder(const QualityGraph& g, const WcIndexOptions& options) {
 /// Sequential mode (num_threads == 1) is the paper's loop: one constrained
 /// BFS per root in rank order, each pruning against the live partial index.
 ///
-/// Parallel mode partitions roots (in rank order) into batches. Within a
-/// batch, worker threads run the same constrained BFS, but prune only
-/// against the immutable snapshot of the index from prior batches and
+/// Parallel mode partitions roots (in rank order) into batches [k0, k1).
+/// Within a batch, worker threads run the same constrained BFS, but prune
+/// only against the frozen index of prior batches (every hub < k0) and
 /// record surviving pops as CANDIDATE entries instead of appending. Missing
 /// the prunes of same-batch lower-ranked roots makes the candidate stream a
 /// superset of the sequential entry stream with identical (dist, quality)
 /// values: with fewer prunes the per-level max-quality frontier dominates
 /// the sequential one, and any pop it adds or upgrades is reachable through
-/// an already-indexed higher-ranked hub, hence covered. After a barrier, a
-/// sequential merge replays each root's candidates in rank order through
-/// the exact sequential cover check against the live index, which discards
-/// precisely the extras — the result is bit-identical to the sequential
-/// build (Theorem 1's minimal index is canonical for a fixed order), for
-/// any thread count and batch size (tested).
+/// an already-indexed higher-ranked hub, hence covered. After a barrier the
+/// merge replays each root's candidates in rank order through the cover
+/// check the sequential build would have run, which discards precisely the
+/// extras. That check needs only the same-batch hubs [k0, k): a candidate
+/// exists because no hub < k0 covered it, and the hub < k0 entries of both
+/// labels are frozen for the whole batch. Labels are appended in hub-rank
+/// order, so those hubs are the two labels' tails (MergeBatch). The result
+/// is bit-identical to the sequential build (Theorem 1's minimal index is
+/// canonical for a fixed order) for any thread count and batch size
+/// (tested).
 class WcIndexBuilder {
  public:
   WcIndexBuilder(const QualityGraph& g, VertexOrder order,
@@ -86,7 +84,7 @@ class WcIndexBuilder {
   WcIndex Run() {
     Timer timer;
     const size_t n = g_.NumVertices();
-    size_t threads = std::min(ResolveThreads(options_.num_threads),
+    size_t threads = std::min(ResolveThreadCount(options_.num_threads),
                               n == 0 ? size_t{1} : n);
     if (threads <= 1) {
       BuildWorkspace ws(n);
@@ -94,6 +92,7 @@ class WcIndexBuilder {
         BfsFromRoot(k, ws, /*candidates=*/nullptr);
       }
       AccumulateStats(ws);
+      stats_.bfs_seconds = timer.Seconds();
     } else {
       RunParallel(threads);
     }
@@ -162,6 +161,7 @@ class WcIndexBuilder {
       size_t batch = options_.batch_size != 0 ? options_.batch_size
                                               : auto_batch;
       Rank k1 = static_cast<Rank>(std::min<size_t>(n, k0 + batch));
+      Timer phase;
       candidates.assign(k1 - k0, {});
       for (Rank k = k0; k < k1; ++k) {
         pool.Submit([this, k, k0, &workspaces, &candidates](size_t worker) {
@@ -169,15 +169,84 @@ class WcIndexBuilder {
         });
       }
       pool.Wait();
-      // Barrier passed: labels_ is mutable again, workers are idle, so the
-      // first workspace's hub table is free for the merge.
-      for (Rank k = k0; k < k1; ++k) {
-        MergeRoot(k, candidates[k - k0], *workspaces[0]);
-      }
+      stats_.bfs_seconds += phase.Seconds();
+      phase.Restart();
+      MergeBatch(k0, k1, candidates, pool, workspaces);
+      stats_.merge_seconds += phase.Seconds();
       k0 = k1;
       auto_batch = std::min(auto_batch * 2, auto_cap);
     }
     for (const auto& ws : workspaces) AccumulateStats(*ws);
+  }
+
+  // Merge phase of batch [k0, k1), after the BFS barrier. Candidates are
+  // replayed per target vertex in (root rank, BFS pop) order — the order in
+  // which the sequential build would have appended them — so each label
+  // grows exactly as it would have sequentially.
+  //
+  // Phase A (serial, small): candidates whose target is one of the batch's
+  // own roots. Roots only reach vertices of rank >= their own, so replaying
+  // these in rank order completes L(root_k) for every root of the batch.
+  //
+  // Phase B (parallel): every other candidate targets a vertex of rank >=
+  // k1, whose label no cover check of another target reads. Each task owns
+  // the targets u with u % tasks == slice and appends only to their
+  // labels_[u] and parents_[u], so the appends need no locks; the batch
+  // roots' labels are read-only from here on, and each task walks the
+  // roots in rank order with its own worker's hub table.
+  void MergeBatch(Rank k0, Rank k1,
+                  const std::vector<std::vector<Candidate>>& candidates,
+                  ThreadPool& pool,
+                  const std::vector<std::unique_ptr<BuildWorkspace>>& ws) {
+    for (Rank k = k0; k < k1; ++k) {
+      BuildHubTable(order_.VertexAt(k), *ws[0], k0);
+      for (const Candidate& c : candidates[k - k0]) {
+        if (order_.RankOf(c.vertex) < k1) MergeCandidate(k, c, k0, *ws[0]);
+      }
+    }
+    const size_t tasks = ws.size();
+    for (size_t slice = 0; slice < tasks; ++slice) {
+      pool.Submit([&, slice, tasks](size_t worker) {
+        BuildWorkspace& w = *ws[worker];
+        for (Rank k = k0; k < k1; ++k) {
+          BuildHubTable(order_.VertexAt(k), w, k0);
+          for (const Candidate& c : candidates[k - k0]) {
+            if (c.vertex % tasks == slice && order_.RankOf(c.vertex) >= k1) {
+              MergeCandidate(k, c, k0, w);
+            }
+          }
+        }
+      });
+    }
+    pool.Wait();
+  }
+
+  // Re-prunes one candidate of root k against the same-batch hubs and
+  // appends it if it survives. ws's hub table holds L(root_k)'s hubs from
+  // k0 on, and only the tail of L(u) from k0 on can meet them. Per vertex,
+  // candidate qualities strictly ascend within one root, so neither a hub
+  // k entry of L(u) (an earlier level of this root) nor the worker's memo
+  // can prune here. The hub-table check runs whatever query_efficient
+  // says: both cover checks decide the same.
+  void MergeCandidate(Rank k, const Candidate& c, Rank k0,
+                      BuildWorkspace& ws) {
+    ++ws.stats.candidates;
+    if (CoveredFast(order_.VertexAt(k), c.vertex, c.dist, c.quality, ws,
+                    TailStart(labels_.For(c.vertex), k0))) {
+      ++ws.stats.pruned_by_query;
+      ++ws.stats.merge_pruned;
+      return;
+    }
+    AppendEntry(k, c.vertex, c.dist, c.quality, c.parent, ws.stats);
+  }
+
+  // Index of the first entry of `lv` with hub >= k0. Hubs are appended in
+  // rank order, so those entries are a suffix — a short one in the merge,
+  // hence the scan from the back.
+  static size_t TailStart(std::span<const LabelEntry> lv, Rank k0) {
+    size_t i = lv.size();
+    while (i > 0 && lv[i - 1].hub >= k0) --i;
+    return i;
   }
 
   // Constrained BFS from the k-th vertex in the order (Algorithm 3 lines
@@ -244,47 +313,39 @@ class WcIndexBuilder {
     if (candidates != nullptr) {
       candidates->push_back(Candidate{u, d, w, parent});
     } else {
-      AppendEntry(k, u, d, w, parent);
+      AppendEntry(k, u, d, w, parent, ws.stats);
     }
     return true;
   }
 
-  // Merge phase: replay root k's candidates — in the BFS pop order the
-  // sequential build would have used — through the sequential cover check
-  // against the live index, appending survivors. The memo is skipped: per
-  // vertex, candidate qualities strictly ascend within one root, so a memo
-  // hit (a previously satisfied query at >= quality) is impossible here.
-  void MergeRoot(Rank k, const std::vector<Candidate>& candidates,
-                 BuildWorkspace& ws) {
-    const Vertex root = order_.VertexAt(k);
-    if (options_.query_efficient) BuildHubTable(root, ws);
-    for (const Candidate& c : candidates) {
-      bool covered =
-          options_.query_efficient
-              ? CoveredFast(root, c.vertex, c.dist, c.quality, ws)
-              : CoveredBasic(root, c.vertex, c.dist, c.quality);
-      if (covered) {
-        ++stats_.pruned_by_query;
-        continue;
-      }
-      AppendEntry(k, c.vertex, c.dist, c.quality, c.parent);
-    }
-  }
-
-  void AppendEntry(Rank k, Vertex u, Distance d, Quality w, Vertex parent) {
+  void AppendEntry(Rank k, Vertex u, Distance d, Quality w, Vertex parent,
+                   WcIndexBuildStats& stats) {
     labels_.Append(u, LabelEntry{k, d, w});
     if (!parents_.empty()) parents_[u].push_back(parent);
-    ++stats_.entries_added;
+    ++stats.entries_added;
   }
 
   // Lines 13-16: explore higher-ranked neighbors, keeping per vertex only
-  // the maximum-quality candidate for the next level (the R test).
+  // the maximum-quality candidate for the next level (the R test). Among
+  // the pops of this level reaching that maximum, the parent is the
+  // smallest vertex, independent of the frontier's order — which differs
+  // in the parallel BFS, whose frontier also holds pops the sequential
+  // build prunes. Those extra pops never reach a kept entry's quality (the
+  // path through them passes an earlier hub, so the merge prunes the
+  // entry), so parents are bit-identical to the sequential build's too.
   void Relax(Rank k, Vertex u, Quality w, BuildWorkspace& ws) {
     for (const Arc& a : g_.Neighbors(u)) {
       if (order_.RankOf(a.to) <= k) continue;
       ++ws.stats.relaxations;
       Quality next_quality = std::min(a.quality, w);
-      if (next_quality <= ws.max_quality.Get(a.to)) continue;
+      Quality best = ws.max_quality.Get(a.to);
+      if (next_quality < best) continue;
+      if (next_quality == best) {
+        if (ws.in_next.Get(a.to) && u < ws.pred.Get(a.to)) {
+          ws.pred.Set(a.to, u);
+        }
+        continue;
+      }
       ws.max_quality.Set(a.to, next_quality);
       ws.pred.Set(a.to, u);
       if (!ws.in_next.Get(a.to)) {
@@ -295,12 +356,13 @@ class WcIndexBuilder {
   }
 
   // Per-root hub table T (§IV.C "Querying"): hub rank -> entry range in
-  // L(root). Built once per root in O(|L(root)|).
-  void BuildHubTable(Vertex root, BuildWorkspace& ws) {
+  // L(root), for the hubs >= `from` (the merge needs only its tail). Built
+  // once per root in O(|L(root)|).
+  void BuildHubTable(Vertex root, BuildWorkspace& ws, Rank from = 0) {
     ws.hub_group_begin.Clear();
     ws.hub_group_end.Clear();
     auto lr = labels_.For(root);
-    size_t i = 0;
+    size_t i = from == 0 ? 0 : TailStart(lr, from);
     while (i < lr.size()) {
       size_t ie = i + 1;
       while (ie < lr.size() && lr[ie].hub == lr[i].hub) ++ie;
@@ -310,13 +372,13 @@ class WcIndexBuilder {
     }
   }
 
-  // Query-efficient cover check: one pass over L(u), O(1) root-side group
-  // lookup through T, binary searches inside groups (Theorem 3).
+  // Query-efficient cover check: one pass over L(u) from entry `i` on,
+  // O(1) root-side group lookup through T, binary searches inside groups
+  // (Theorem 3).
   bool CoveredFast(Vertex root, Vertex u, Distance d, Quality w,
-                   const BuildWorkspace& ws) {
+                   const BuildWorkspace& ws, size_t i = 0) {
     auto lr = labels_.For(root);
     auto lu = labels_.For(u);
-    size_t i = 0;
     while (i < lu.size()) {
       size_t ie = i + 1;
       Rank hub = lu[i].hub;
@@ -342,6 +404,9 @@ class WcIndexBuilder {
   }
 
   void AccumulateStats(const BuildWorkspace& ws) {
+    stats_.entries_added += ws.stats.entries_added;
+    stats_.candidates += ws.stats.candidates;
+    stats_.merge_pruned += ws.stats.merge_pruned;
     stats_.pops += ws.stats.pops;
     stats_.pruned_by_query += ws.stats.pruned_by_query;
     stats_.pruned_by_memo += ws.stats.pruned_by_memo;

@@ -60,17 +60,21 @@ struct WcIndexOptions {
   bool further_pruning = true;
 
   /// Construction threads. 1 = the exact sequential Algorithm 3 loop;
-  /// 0 = auto (hardware concurrency); N > 1 = rank-batched parallel
-  /// pipeline. Any value produces a bit-identical index (tested): workers
-  /// run the constrained BFS of a batch of roots against the immutable
-  /// snapshot of the index from prior batches, and a sequential rank-order
-  /// re-prune merge restores exactly the minimal index of Theorem 1.
+  /// 0 = auto (the CPUs in this process's affinity mask,
+  /// ResolveThreadCount); N > 1 = rank-batched parallel pipeline. Any value
+  /// produces a bit-identical index (tested): workers run the constrained
+  /// BFS of a batch of roots against the frozen index of prior batches,
+  /// then a merge re-checks each candidate against the same-batch hubs
+  /// only — serially for candidates targeting the batch's own roots, in
+  /// parallel by target vertex for the rest — restoring exactly the
+  /// minimal index of Theorem 1.
   size_t num_threads = 1;
 
   /// Roots per parallel batch (num_threads > 1 only). 0 = auto: batches
-  /// start at num_threads and double up to a cap, so the early high-rank
-  /// roots — whose labels prune everything downstream — are merged into the
-  /// snapshot quickly, bounding wasted candidate work.
+  /// start at num_threads and double up to max(64, 16 * num_threads), so
+  /// the early high-rank roots — whose labels prune everything downstream
+  /// — reach the frozen index quickly, bounding wasted candidate work.
+  /// Larger batches lengthen the label tails the merge re-checks.
   size_t batch_size = 0;
 
   /// Record BFS parents per label entry (the paper's §V quad labels
@@ -105,10 +109,21 @@ struct WcIndexOptions {
 struct WcIndexBuildStats {
   size_t entries_added = 0;
   size_t pops = 0;
+  /// Pops discarded by a cover check: in the BFS, plus (parallel build)
+  /// the candidates the merge re-check discards (merge_pruned).
   size_t pruned_by_query = 0;
   size_t pruned_by_memo = 0;
   size_t relaxations = 0;
+  /// Parallel build only (0 when sequential): BFS survivors recorded for
+  /// the merge, and how many of them the merge's same-batch re-check
+  /// discarded; candidates == entries_added + merge_pruned.
+  size_t candidates = 0;
+  size_t merge_pruned = 0;
   double build_seconds = 0.0;
+  /// Wall time of the BFS phases (the whole loop when sequential) and of
+  /// the parallel build's merge phases.
+  double bfs_seconds = 0.0;
+  double merge_seconds = 0.0;
 };
 
 /// The WC-INDEX (Def. 6): per-vertex sets of (hub, distance, quality)

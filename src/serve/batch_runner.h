@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/batch.h"
@@ -73,13 +72,6 @@ struct QueryEngineStats {
   uint64_t label_bytes = 0;
   uint64_t uncompressed_label_bytes = 0;
 };
-
-/// 0 = hardware concurrency (min 1).
-inline size_t ResolveServeThreads(size_t num_threads) {
-  if (num_threads != 0) return num_threads;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 /// Applies `fn(begin, end, worker)` to consecutive chunks of [0, n) and
 /// blocks until every chunk has run. With a null pool or a single chunk the

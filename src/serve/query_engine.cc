@@ -10,7 +10,7 @@ namespace wcsd {
 QueryEngine::QueryEngine(std::shared_ptr<const WcIndex> index,
                          QueryEngineOptions options)
     : index_(std::move(index)), options_(options) {
-  size_t threads = ResolveServeThreads(options_.num_threads);
+  size_t threads = ResolveThreadCount(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   stats_ = std::make_unique<ServeStatsBlock>(threads);
   if (options_.decode_cache_bytes > 0 && index_->compressed()) {

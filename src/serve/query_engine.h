@@ -35,8 +35,9 @@
 namespace wcsd {
 
 struct QueryEngineOptions {
-  /// Worker threads for batch evaluation. 0 = hardware concurrency;
-  /// 1 = no pool, batches run on the calling thread.
+  /// Worker threads for batch evaluation. 0 = the CPUs in the affinity
+  /// mask (ResolveThreadCount); 1 = no pool, batches run on the calling
+  /// thread.
   size_t num_threads = 0;
   /// Query implementation used for every query (kMerge is the paper's
   /// Query+ and the fastest on every measured workload).

@@ -68,7 +68,7 @@ Result<ShardedQueryEngine> ShardedQueryEngine::Assemble(
     if (shard.quarantined) ++engine.num_quarantined_;
     if (shard.is_compressed) ++engine.num_compressed_;
   }
-  size_t threads = ResolveServeThreads(options.num_threads);
+  size_t threads = ResolveThreadCount(options.num_threads);
   if (threads > 1) engine.pool_ = std::make_unique<ThreadPool>(threads);
   engine.stats_ = std::make_unique<ServeStatsBlock>(threads);
   if (options.decode_cache_bytes > 0 && engine.num_compressed_ > 0) {

@@ -19,6 +19,12 @@
 
 namespace wcsd {
 
+/// Worker threads for a `num_threads` option: the value itself, or for 0
+/// the number of CPUs in the calling thread's affinity mask (so `taskset`
+/// or a CPU-limited container is not oversubscribed), falling back to
+/// hardware concurrency when the mask is unreadable. Never 0.
+size_t ResolveThreadCount(size_t num_threads);
+
 /// Fixed pool of worker threads executing submitted tasks FIFO. Submit and
 /// Wait are intended to be called from one controller thread.
 class ThreadPool {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <set>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace wcsd {
@@ -225,6 +228,38 @@ TEST(Timer, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(b, a);
   t.Restart();
   EXPECT_GE(t.Micros(), 0.0);
+}
+
+TEST(ResolveThreadCount, ExplicitCountPassesThrough) {
+  EXPECT_EQ(ResolveThreadCount(1), 1u);
+  EXPECT_EQ(ResolveThreadCount(3), 3u);
+  EXPECT_EQ(ResolveThreadCount(64), 64u);
+}
+
+TEST(ResolveThreadCount, AutoCountsTheAffinityMask) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  const size_t all = static_cast<size_t>(CPU_COUNT(&original));
+  EXPECT_EQ(ResolveThreadCount(0), all);
+
+  // Narrow this thread's mask to its first one and first two CPUs, as
+  // `taskset` would; restore it before asserting.
+  cpu_set_t narrowed;
+  CPU_ZERO(&narrowed);
+  size_t resolved[2] = {0, 0};
+  size_t kept = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE && kept < 2; ++cpu) {
+    if (!CPU_ISSET(cpu, &original)) continue;
+    CPU_SET(cpu, &narrowed);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(narrowed), &narrowed), 0);
+    resolved[kept++] = ResolveThreadCount(0);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(resolved[0], 1u);
+  if (all >= 2) {
+    EXPECT_EQ(resolved[1], 2u);
+  }
+  EXPECT_EQ(ResolveThreadCount(0), all);
 }
 
 }  // namespace

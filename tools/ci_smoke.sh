@@ -7,7 +7,8 @@
 #   tools/ci_smoke.sh cli coldtier        # selected sections, in this order
 #
 # Sections (the default runs all of them, in this order):
-#   cli       build/query/verify/snapshot/serve round trips, the compressed
+#   cli       build/query/verify/snapshot/serve round trips, parallel build
+#             byte-identical to the sequential loop, the compressed
 #             snapshot + cold-tier answer-CRC equivalence, sharded serving
 #   crash     snapshot rewrite crashed at the commit point leaves the old
 #             file byte-identical and still serving
@@ -82,6 +83,11 @@ section_cli() {
   "$CLI" query --manifest=ci_planned.manifest --s=1 --w=2 --topk=5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --profile --thresholds=1,2,3,4,5
   "$CLI" query --manifest=ci_planned.manifest --s=1 --t=42 --w=2 --path --graph=ci.edges
+
+  banner "parallel build byte-identical to the sequential loop"
+  "$CLI" build --graph=ci.edges --index=ci_t1.wcx --threads=1
+  "$CLI" build --graph=ci.edges --index=ci_t4.wcx --threads=4
+  cmp ci_t1.wcx ci_t4.wcx
 
   banner "compressed snapshot + cold tier answer CRCs"
   flat_crc=$("$CLI" serve --snapshot=ci.wcsnap --queries=20000 --seed=11 --verify | tee /dev/stderr | crc_of)

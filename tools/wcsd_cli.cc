@@ -3,9 +3,10 @@
 // Subcommands:
 //   build     --graph=<file> --index=<out> [--order=degree|tree|hybrid]
 //             [--threads=<n>] [--batch=<n>] [--format=edges|dimacs]
-//             build and save a WC-INDEX; --threads=0 uses all cores via the
-//             rank-batched parallel pipeline (identical output), --batch
-//             overrides the auto batch schedule
+//             build and save a WC-INDEX; --threads=0 uses every CPU of the
+//             affinity mask via the rank-batched parallel pipeline
+//             (identical output), --batch overrides the auto batch
+//             schedule; prints the BFS/merge phase times and counters
 //   query     --index=<file> --s=<v> --t=<v> --w=<q> [--flat]
 //             [--path --graph=<file>]
 //             [--topk=K [--candidates=v1,v2,...]]
@@ -226,9 +227,13 @@ int CmdBuild(const Flags& flags) {
   options.batch_size = static_cast<size_t>(batch);
   Timer timer;
   WcIndex index = WcIndex::Build(graph.value(), options);
-  std::printf("built in %.2f s: %zu vertices, %zu entries, %zu bytes\n",
-              timer.Seconds(), index.NumVertices(), index.TotalEntries(),
-              index.MemoryBytes());
+  const WcIndexBuildStats& bs = index.build_stats();
+  std::printf(
+      "built in %.2f s: %zu vertices, %zu entries, %zu bytes "
+      "(bfs %.2f s, merge %.2f s, %zu candidates, %zu merge_pruned)\n",
+      timer.Seconds(), index.NumVertices(), index.TotalEntries(),
+      index.MemoryBytes(), bs.bfs_seconds, bs.merge_seconds, bs.candidates,
+      bs.merge_pruned);
   Status st = index.Save(out);
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
